@@ -23,7 +23,6 @@ fn main() {
             OptMode::RangePruningWce,
             Duration::from_secs(120),
             false,
-            1,
             false,
             true,
         );
@@ -35,7 +34,6 @@ fn main() {
             OptMode::RangePruningWce,
             Duration::from_secs(120),
             true,
-            1,
             true,
             true,
         );

@@ -89,9 +89,9 @@ fn main() -> ExitCode {
     let rows = table1_rows(Scale::Ci);
     let budget = Duration::from_secs(budget_secs);
     println!("\nrunning No-cwnd/Small RP+WCE, plain …");
-    let plain = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, 1, false, true);
+    let plain = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, false, true);
     println!("running No-cwnd/Small RP+WCE, certified …");
-    let cert = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, 1, true, true);
+    let cert = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, true, true);
     let overhead = cert.wall.as_secs_f64() / plain.wall.as_secs_f64().max(1e-9);
     println!(
         "plain {:.2}s vs certified {:.2}s → {overhead:.2}x overhead ({} proof clauses, {} cert bytes, {:.1} ms in checker)",

@@ -89,7 +89,7 @@ fn main() {
         // The same-build A/B pair for the trail-sync speedup claim: re-run
         // the RP+WCE cell with the legacy reset-and-reassert theory bridge.
         eprintln!("running {} / {} / RP+WCE (no-sync) …", row.params, row.domain_label);
-        let nosync = run_cell_with(&row, OptMode::RangePruningWce, budget, true, 1, false, false);
+        let nosync = run_cell_with(&row, OptMode::RangePruningWce, budget, true, false, false);
         let sync_wall = cells[2].wall;
         eprintln!(
             "  → {} in {} ({} iterations, {:.2}x the trail-synced cell)",
@@ -105,7 +105,7 @@ fn main() {
             "running {} / {} / RP+WCE (from-scratch verifier) …",
             row.params, row.domain_label
         );
-        let scratch = run_cell_with(&row, OptMode::RangePruningWce, budget, false, 1, false, true);
+        let scratch = run_cell_with(&row, OptMode::RangePruningWce, budget, false, false, true);
         eprintln!(
             "  → {} in {} ({} iterations, {} verifier probes)",
             if scratch.solved { "solved" } else { "DNF" },
@@ -118,7 +118,7 @@ fn main() {
         // certificate. Reported next to the uncertified cell so the
         // overhead factor is visible per row.
         eprintln!("running {} / {} / RP+WCE (certified) …", row.params, row.domain_label);
-        let certified = run_cell_with(&row, OptMode::RangePruningWce, budget, true, 1, true, true);
+        let certified = run_cell_with(&row, OptMode::RangePruningWce, budget, true, true, true);
         let plain_wall = cells[2].wall;
         eprintln!(
             "  → {} in {} ({} proof clauses, {} cert bytes, {:.1} ms in checker, {:.2}x uncertified)",
@@ -130,31 +130,6 @@ fn main() {
             certified.wall.as_secs_f64() / plain_wall.as_secs_f64().max(1e-9),
         );
         cells.push(certified);
-        // Shard-stealing portfolio at 2 and 4 workers, same cell. Small
-        // spaces auto-fall back to the serial loop below the dispatch
-        // threshold; on a single hardware core the rest measure overhead,
-        // not speedup. The JSON records `hardware_cores` next to `threads`
-        // so readers can tell which is which.
-        for threads in [2usize, 4] {
-            eprintln!(
-                "running {} / {} / RP+WCE ({} workers) …",
-                row.params, row.domain_label, threads
-            );
-            let cell =
-                run_cell_with(&row, OptMode::RangePruningWce, budget, true, threads, false, true);
-            eprintln!(
-                "  → {} in {} ({} iterations, {} replay hits, {} wasted, {} shards stolen, {}/{} clauses shared)",
-                if cell.solved { "solved" } else { "DNF" },
-                fmt_duration(cell.wall, true),
-                cell.iterations,
-                cell.replay_hits,
-                cell.speculative_wasted,
-                cell.shards_stolen,
-                cell.shared_clauses_exported,
-                cell.shared_clauses_imported,
-            );
-            cells.push(cell);
-        }
         results.push((row, cells));
     }
 
@@ -162,9 +137,7 @@ fn main() {
     println!("\nDNF = no solution within the per-cell budget (the paper's analogue: one week).");
     println!("Each row's extra RP+WCE lines: (no-sync) = the legacy reset-and-reassert theory");
     println!("bridge (the trail-sync A/B pair), (scratch) = the non-incremental verifier,");
-    println!("(certified) = checker-replayed proofs on every verdict; the (2T)/(4T) lines run");
-    println!("the shard-stealing portfolio at that worker count (tiny spaces auto-fall back");
-    println!("to the serial loop below the dispatch threshold).");
+    println!("(certified) = checker-replayed proofs on every verdict.");
 
     let json = Json::obj(vec![
         ("bench", Json::Str("table1".into())),

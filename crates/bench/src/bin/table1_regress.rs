@@ -12,7 +12,7 @@
 //! `big_ops` (plus generous absolute floors) — the arithmetic-volume gates
 //! exist because wall alone can hide a kernel regression on a time-sliced
 //! runner. Cells are matched by the full identity tuple (params, domain,
-//! method, incremental, threads, certified, theory_sync); baseline cells
+//! method, incremental, certified, theory_sync); baseline cells
 //! missing from the fresh run count as regressions, fresh-only cells (e.g.
 //! the `(no-sync)` A/B legs on older baselines) are ignored. Exit status
 //! is nonzero iff any cell regressed.
@@ -28,8 +28,8 @@ const NOISE_FLOOR_S: f64 = 1.0;
 /// Factor over the baseline's per-cell `pivots` / `big_ops` beyond which
 /// the cell regressed, independent of wall.
 const MAX_OP_GROWTH: f64 = 2.0;
-/// Absolute pivot allowance: portfolio scheduling can shift a small cell's
-/// pivot count by thousands without anything being wrong.
+/// Absolute pivot allowance: a different search order can shift a small
+/// cell's pivot count by thousands without anything being wrong.
 const FLOOR_PIVOTS: f64 = 10_000.0;
 /// Absolute big-op allowance, same reasoning at bignum-op granularity.
 const FLOOR_BIG_OPS: f64 = 1_000_000.0;
@@ -61,12 +61,8 @@ fn load(path: &str) -> Result<Vec<Cell>, String> {
             let theory_sync = cell.get("theory_sync").and_then(Json::as_bool).unwrap_or(true);
             cells.push(Cell {
                 key: format!(
-                    "{params} / {domain} / {method}{}{}{}{}",
+                    "{params} / {domain} / {method}{}{}{}",
                     if get_bool("incremental") { "" } else { " (scratch)" },
-                    match get_num("threads") as u64 {
-                        0 | 1 => String::new(),
-                        t => format!(" ({t}T)"),
-                    },
                     if get_bool("certified") { " (certified)" } else { "" },
                     if theory_sync { "" } else { " (no-sync)" },
                 ),

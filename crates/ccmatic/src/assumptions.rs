@@ -42,7 +42,7 @@ fn verifies(spec: &CcaSpec, net: &NetConfig, thresholds: &Thresholds) -> bool {
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
+        search: Default::default(),
         theory_sync: true,
     });
     v.verify(spec).is_ok()

@@ -98,7 +98,7 @@ pub fn brute_force_first(
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
+        search: Default::default(),
         theory_sync: true,
     });
     let mut tried = 0;
@@ -164,7 +164,7 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
+            search: Default::default(),
             theory_sync: true,
         });
         assert!(v.verify(&sol).is_ok());

@@ -175,7 +175,7 @@ mod tests {
                     wce_precision: rat(1, 2),
                     incremental: true,
                     certify: false,
-                    search: ccmatic_smt::SearchConfig::default(),
+                    search: Default::default(),
                     theory_sync: true,
                 });
                 v.verify(&spec).is_ok()

@@ -113,7 +113,7 @@ pub fn separating_environment(
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
+        search: Default::default(),
         theory_sync: true,
     });
     // A must hold universally — the separator is only meaningful inside

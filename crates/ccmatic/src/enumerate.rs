@@ -299,7 +299,7 @@ mod tests {
             wce_precision: opts.wce_precision.clone(),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
+            search: Default::default(),
             theory_sync: true,
         });
         for s in &result.solutions {

@@ -6,7 +6,7 @@
 //! semantics, and the engine version (an encoding change invalidates old
 //! entries wholesale). Everything that only affects *how fast* the answer
 //! is found — thread count, seed, budgets, incremental vs from-scratch
-//! verification, the portfolio dispatch floor, region pruning (pinned
+//! verification, the dispatch floor, region pruning (pinned
 //! outcome-equal by the differential suite) — is deliberately excluded, so
 //! a cold CI run and a 16-thread server run share cache entries.
 //!

@@ -46,7 +46,7 @@ use crate::template::{CcaSpec, TemplateShape};
 use ccac_model::{NetConfig, Thresholds, Trace};
 use ccmatic_num::Rat;
 use ccmatic_proof::UnsatCertificate;
-use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, SearchConfig, Solver, Term};
+use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, Solver, Term};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -100,7 +100,7 @@ struct Coeff {
 pub enum Proposal {
     /// A coefficient assignment consistent with everything learned so far.
     Candidate(CcaSpec),
-    /// The (possibly shard-restricted) space holds no further candidate.
+    /// The space holds no further candidate.
     Exhausted,
     /// The interrupt fired before the solver could decide.
     Interrupted,
@@ -127,11 +127,8 @@ pub struct SmtGenerator {
     /// before the first assertion). Base-level exhaustion claims then carry
     /// a checkable UNSAT certificate.
     certify: bool,
-    /// Scope depth from [`SmtGenerator::enter_shard`]; an Unsat inside a
-    /// shard scope is not a whole-space exhaustion claim.
-    shard_depth: usize,
     /// The certificate backing the most recent base-level exhaustion claim
-    /// (`propose` → `None` / empty uninterrupted batch), when certifying.
+    /// (`propose` → `None` / [`Proposal::Exhausted`]), when certifying.
     last_exhaustion_cert: Option<UnsatCertificate>,
     /// Total nanoseconds spent in [`TraceReplay::refutes`] by the region
     /// BFS, paired with `replay_samples` to yield the mean cost that
@@ -148,33 +145,19 @@ pub struct SmtGenerator {
 }
 
 impl SmtGenerator {
-    /// Create a generator over the given search space with the default
-    /// (deterministic, undiversified) SAT search.
+    /// Create a generator over the given search space.
     pub fn new(
         shape: TemplateShape,
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
     ) -> Self {
-        Self::new_with_config(shape, net, thresholds, mode, SearchConfig::default())
+        Self::build(shape, net, thresholds, mode, false)
     }
 
-    /// Create a generator whose SAT core searches under `config` — the
-    /// portfolio hands each worker a different diversification profile so
-    /// workers explore the candidate space in different orders.
-    pub fn new_with_config(
-        shape: TemplateShape,
-        net: NetConfig,
-        thresholds: Thresholds,
-        mode: FeasibilityMode,
-        config: SearchConfig,
-    ) -> Self {
-        Self::build(shape, net, thresholds, mode, config, false)
-    }
-
-    /// [`SmtGenerator::new_with_config`] with proof logging enabled from
-    /// the first assertion, so base-level exhaustion claims (`propose` →
-    /// `None`) carry an [`UnsatCertificate`] retrievable via
+    /// [`SmtGenerator::new`] with proof logging enabled from the first
+    /// assertion, so base-level exhaustion claims (`propose` → `None`)
+    /// carry an [`UnsatCertificate`] retrievable via
     /// [`SmtGenerator::take_exhaustion_cert`]. The persistent result cache
     /// stores that certificate alongside the enumerated solution set.
     pub fn new_certified(
@@ -182,9 +165,8 @@ impl SmtGenerator {
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
-        config: SearchConfig,
     ) -> Self {
-        Self::build(shape, net, thresholds, mode, config, true)
+        Self::build(shape, net, thresholds, mode, true)
     }
 
     fn build(
@@ -192,7 +174,6 @@ impl SmtGenerator {
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
-        config: SearchConfig,
         certify: bool,
     ) -> Self {
         assert!(
@@ -203,10 +184,8 @@ impl SmtGenerator {
         );
         let mut ctx = Context::new();
         let mut solver = Solver::new();
-        // Before any assertion: the seed and phase policy apply to
-        // variables as they are created, and proof logging (when certifying)
-        // must see every input clause.
-        solver.set_search_config(config);
+        // Before any assertion: proof logging (when certifying) must see
+        // every input clause.
         if certify {
             solver.enable_proofs();
         }
@@ -249,7 +228,6 @@ impl SmtGenerator {
             coeffs,
             replay,
             certify,
-            shard_depth: 0,
             last_exhaustion_cert: None,
             region_pruning: true,
             replay_ns: 0,
@@ -265,15 +243,15 @@ impl SmtGenerator {
         self.last_exhaustion_cert.take()
     }
 
-    /// One solver check; when certifying, an Unsat with no scoped blocks in
-    /// force (`scoped == false`) is a whole-space exhaustion claim and its
-    /// proof snapshot is retained for [`SmtGenerator::take_exhaustion_cert`].
-    fn check_tracking_exhaustion(&mut self, scoped: bool) -> SatResult {
+    /// One solver check; when certifying, an Unsat is a whole-space
+    /// exhaustion claim and its proof snapshot is retained for
+    /// [`SmtGenerator::take_exhaustion_cert`].
+    fn check_tracking_exhaustion(&mut self) -> SatResult {
         if !self.certify {
             return self.solver.check(&self.ctx);
         }
         let certified = self.solver.check_certified(&self.ctx);
-        if certified.result == SatResult::Unsat && !scoped && self.shard_depth == 0 {
+        if certified.result == SatResult::Unsat {
             self.last_exhaustion_cert = certified.certificate;
         }
         certified.result
@@ -326,7 +304,7 @@ impl SmtGenerator {
     /// Ask the solver for a coefficient assignment consistent with every
     /// learned counterexample. `None` means the space is exhausted.
     pub fn propose(&mut self) -> Option<CcaSpec> {
-        match self.check_tracking_exhaustion(false) {
+        match self.check_tracking_exhaustion() {
             SatResult::Sat => Some(self.read_model()),
             SatResult::Unsat => None,
             // `None` from propose is a *completeness claim* ("no candidate
@@ -346,44 +324,13 @@ impl SmtGenerator {
     /// keep their exhaustive-completeness contract.
     pub fn propose_interruptible(&mut self, interrupt: &Interrupt) -> Proposal {
         self.solver.interrupt = interrupt.clone();
-        let result = match self.check_tracking_exhaustion(false) {
+        let result = match self.check_tracking_exhaustion() {
             SatResult::Sat => Proposal::Candidate(self.read_model()),
             SatResult::Unsat => Proposal::Exhausted,
             SatResult::Unknown => Proposal::Interrupted,
         };
         self.solver.interrupt = Interrupt::none();
         result
-    }
-
-    /// Restrict the generator to one shard of the candidate space: push an
-    /// assertion scope and pin the first `prefix.len()` coefficients (in
-    /// [`CcaSpec::flat`] order — alphas, betas, gamma) to the given values.
-    ///
-    /// Everything asserted afterwards — shard-local counterexample
-    /// constraints included — lives in the pushed scope and vanishes at
-    /// [`SmtGenerator::exit_shard`], so a worker can move between shards
-    /// without polluting the base space.
-    pub fn enter_shard(&mut self, prefix: &[Rat]) {
-        debug_assert!(prefix.len() <= self.coeffs.len());
-        self.shard_depth += 1;
-        self.solver.push();
-        for (coeff, v) in self.coeffs.iter().zip(prefix) {
-            let sel = coeff
-                .selectors
-                .iter()
-                .find(|(a, _)| a == v)
-                .expect("shard value must be in the domain")
-                .1;
-            self.solver.assert(&self.ctx, sel);
-        }
-    }
-
-    /// Leave the current shard: pop the scope pushed by
-    /// [`SmtGenerator::enter_shard`], discarding the shard selectors and any
-    /// shard-local learning.
-    pub fn exit_shard(&mut self) {
-        self.shard_depth -= 1;
-        self.solver.pop();
     }
 
     /// Read the current satisfying model as a coefficient assignment.
@@ -424,61 +371,6 @@ impl SmtGenerator {
     pub fn block(&mut self, spec: &CcaSpec) {
         let clause = self.blocking_clause(spec);
         self.solver.assert(&self.ctx, clause);
-    }
-
-    /// Propose up to `k` mutually distinct candidates in one go, optionally
-    /// giving up at `deadline`.
-    ///
-    /// Distinctness is enforced with *scoped* blocking clauses: after each
-    /// accepted candidate the solver pushes an assertion scope and blocks
-    /// that exact assignment, so the next `check` (warm, on the same
-    /// solver) must land elsewhere. All scopes are popped before returning
-    /// — batch-mates are excluded from each other, not from the future;
-    /// candidates leave the space permanently only through learned
-    /// counterexamples or explicit [`SmtGenerator::block`].
-    ///
-    /// An empty, non-interrupted batch is the usual completeness claim (the
-    /// space is exhausted). A deadline firing mid-batch returns whatever
-    /// was gathered with `interrupted = true` claiming nothing further.
-    pub fn propose_batch(
-        &mut self,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> ccmatic_cegis::BatchProposal<CcaSpec> {
-        let mut candidates = Vec::new();
-        let mut interrupted = false;
-        let mut pushes = 0usize;
-        self.solver.interrupt = match deadline {
-            Some(d) => Interrupt::at(d),
-            None => Interrupt::none(),
-        };
-        while candidates.len() < k {
-            match self.check_tracking_exhaustion(pushes > 0) {
-                SatResult::Sat => {
-                    let spec = self.read_model();
-                    if candidates.len() + 1 < k {
-                        self.solver.push();
-                        pushes += 1;
-                        let clause = self.blocking_clause(&spec);
-                        self.solver.assert(&self.ctx, clause);
-                    }
-                    candidates.push(spec);
-                }
-                SatResult::Unsat => break,
-                SatResult::Unknown => {
-                    interrupted = true;
-                    break;
-                }
-            }
-        }
-        for _ in 0..pushes {
-            self.solver.pop();
-        }
-        self.solver.interrupt = Interrupt::none();
-        // `Unsat` under scoped blocks with candidates in hand only means
-        // the batch drained the space's tail, not that it is empty — the
-        // empty-and-uninterrupted case is the real exhaustion claim.
-        ccmatic_cegis::BatchProposal { candidates, interrupted }
     }
 
     /// Learn a counterexample trace: assert `σ = feasible(A, τ) ⟹
@@ -907,54 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_proposals_are_distinct_and_temporary() {
-        let mut g = SmtGenerator::new(
-            TemplateShape::no_cwnd_small(),
-            small_net(),
-            Thresholds::default(),
-            FeasibilityMode::RangePruning,
-        );
-        let batch = g.propose_batch(4, None);
-        assert!(!batch.interrupted);
-        assert_eq!(batch.candidates.len(), 4);
-        for i in 0..batch.candidates.len() {
-            for j in (i + 1)..batch.candidates.len() {
-                assert_ne!(batch.candidates[i], batch.candidates[j], "batch-mates must differ");
-            }
-        }
-        // The scoped blocks must not outlive the batch: the space still
-        // contains all four (the next single proposal is one of them or any
-        // other member of the un-shrunk space — so a full re-batch must
-        // again find four).
-        let again = g.propose_batch(4, None);
-        assert_eq!(again.candidates.len(), 4);
-    }
-
-    #[test]
-    fn batch_drains_a_tiny_space_without_claiming_exhaustion() {
-        // {0,1}² = 4 candidates; a batch of 10 returns exactly 4 with no
-        // exhaustion claim, and blocking them all exhausts for real.
-        let shape = TemplateShape {
-            lookback: 1,
-            use_cwnd: false,
-            domain: crate::template::CoeffDomain::Custom(vec![int(0), int(1)]),
-        };
-        let net =
-            NetConfig { horizon: 3, history: 2, link_rate: Rat::one(), jitter: 1, buffer: None };
-        let mut g =
-            SmtGenerator::new(shape, net, Thresholds::default(), FeasibilityMode::RangePruning);
-        let batch = g.propose_batch(10, None);
-        assert!(!batch.interrupted);
-        assert_eq!(batch.candidates.len(), 4);
-        for spec in &batch.candidates {
-            g.block(spec);
-        }
-        let empty = g.propose_batch(10, None);
-        assert!(empty.candidates.is_empty() && !empty.interrupted);
-    }
-
-    #[test]
-    fn expired_deadline_interrupts_batch() {
+    fn expired_deadline_interrupts_proposal() {
         let mut g = SmtGenerator::new(
             TemplateShape::no_cwnd_small(),
             small_net(),
@@ -962,9 +807,7 @@ mod tests {
             FeasibilityMode::RangePruning,
         );
         let past = Instant::now() - std::time::Duration::from_secs(1);
-        let batch = g.propose_batch(4, Some(past));
-        assert!(batch.interrupted, "expired deadline must interrupt");
-        assert!(batch.candidates.is_empty());
+        assert_eq!(g.propose_interruptible(&Interrupt::at(past)), Proposal::Interrupted);
         // The generator must remain usable afterwards.
         assert!(g.propose().is_some());
     }
@@ -980,7 +823,7 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 4i64.into()),
             incremental: true,
             certify: false,
-            search: SearchConfig::default(),
+            search: Default::default(),
             theory_sync: true,
         });
         let mut g =
@@ -1018,7 +861,7 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: SearchConfig::default(),
+            search: Default::default(),
             theory_sync: true,
         });
         let broken = CcaSpec { alpha: vec![], beta: vec![int(0), int(0)], gamma: int(0) };

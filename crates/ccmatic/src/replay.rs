@@ -200,7 +200,7 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
+            search: Default::default(),
             theory_sync: true,
         })
     }

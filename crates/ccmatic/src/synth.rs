@@ -1,35 +1,21 @@
 //! End-to-end synthesis: wire the generator and verifier into the CEGIS
 //! engine (the paper's Table-1 experiment, "time to synthesize first
-//! solution").
-//!
-//! With `threads > 1` and a large enough search space, synthesis runs as a
-//! *portfolio*: each worker owns a diversified generator/verifier pair, the
-//! candidate space is partitioned into coefficient-prefix shards workers
-//! steal from a shared queue, counterexamples are broadcast into every
-//! worker's replay cache, and (on the incremental path) short learned
-//! clauses flow between the workers' SAT cores through a
-//! [`ClauseExchange`]. Tiny spaces skip all of that: below
-//! [`SynthOptions::dispatch_min`] candidates the serial loop wins on
-//! per-candidate overhead alone, so the dispatcher falls back to it.
+//! solution"). Synthesis is one serial loop; parallelism lives at the sweep
+//! level, where independent threshold points fan out (DESIGN.md §10).
 
 use crate::generator::{FeasibilityMode, Proposal, SmtGenerator};
 use crate::replay::TraceReplay;
 use crate::template::{CcaSpec, TemplateShape};
-use crate::verifier::{CcaVerifier, CertAudit, VerifyConfig};
+use crate::verifier::{CcaVerifier, CertAudit, SearchConfig, VerifyConfig};
 use ccac_model::{NetConfig, Thresholds, Trace};
-use ccmatic_cegis::{
-    BatchProposal, Budget, Generator, Outcome, PortfolioWorker, Stats, StepOutcome, StepReport,
-    Verdict, Verifier, WorkerStats,
-};
+use ccmatic_cegis::{BatchProposal, Budget, Generator, Outcome, Stats, Verdict, Verifier};
 use ccmatic_num::Rat;
-use ccmatic_smt::{ClauseExchange, Interrupt, SearchConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ccmatic_smt::Interrupt;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Search spaces smaller than this run serially even when `threads > 1`:
-/// spinning up worker solvers and barrier rounds costs more than a tiny
-/// space's whole enumeration.
+/// The default of [`SynthOptions::dispatch_min`]; nothing reads it.
 pub const DEFAULT_DISPATCH_MIN: u128 = 1024;
 
 /// Which of the paper's §3.1.2 optimizations to enable — the three columns
@@ -83,19 +69,13 @@ pub struct SynthOptions {
     pub budget: Budget,
     /// WCE binary-search precision.
     pub wce_precision: Rat,
-    /// Use the verifier's incremental (push/pop scope) path. Also gates
-    /// clause sharing: only incremental workers share an identical base
-    /// encoding (and therefore SAT variable numbering).
+    /// Use the verifier's incremental (push/pop scope) path.
     pub incremental: bool,
-    /// Worker count: 1 runs the serial loop, >1 the shard-stealing
-    /// portfolio with this many diversified generator/verifier pairs.
+    /// Nothing reads it: synthesis always runs one serial loop.
     pub threads: usize,
-    /// Base RNG seed for search diversification. Worker `w` searches under
-    /// [`SearchConfig::diversified`]`(seed, w)`; fixed seeds make portfolio
-    /// runs reproducible.
+    /// Nothing reads it: the search consumes no randomness.
     pub seed: u64,
-    /// Below this many candidates the portfolio dispatcher falls back to
-    /// the serial loop regardless of `threads`.
+    /// Nothing reads it: there is no parallel path to dispatch to.
     pub dispatch_min: u128,
     /// Certify every verifier verdict: UNSAT answers must carry a
     /// checker-accepted DRAT+Farkas certificate, SAT answers an
@@ -144,11 +124,9 @@ pub struct SynthResult {
     /// Underlying verifier probes (exceeds verifier calls when WCE
     /// binary-searches).
     pub verifier_probes: u64,
-    /// Aggregate certificate-audit totals across all worker verifiers
-    /// (all zero unless `opts.certify`).
+    /// Certificate-audit totals of the verifier (all zero unless
+    /// `opts.certify`).
     pub cert_audit: CertAudit,
-    /// Per-worker portfolio counters (empty for serial runs).
-    pub workers: Vec<WorkerStats>,
 }
 
 /// Adapter: [`SmtGenerator`] as a [`ccmatic_cegis::Generator`].
@@ -233,8 +211,16 @@ impl Generator for GenAdapter {
         self.refuted_log.push((candidate.clone(), cex.clone()));
     }
 
-    fn propose_batch(&mut self, k: usize, deadline: Option<Instant>) -> BatchProposal<CcaSpec> {
-        self.inner.propose_batch(k, deadline)
+    /// One candidate from [`SmtGenerator::propose_interruptible`]; `k` is
+    /// ignored (the loop always asks for one).
+    fn propose_batch(&mut self, _k: usize, deadline: Option<Instant>) -> BatchProposal<CcaSpec> {
+        let interrupt = Interrupt { deadline, cancel: None };
+        let (candidate, interrupted) = match self.inner.propose_interruptible(&interrupt) {
+            Proposal::Candidate(spec) => (Some(spec), false),
+            Proposal::Exhausted => (None, false),
+            Proposal::Interrupted => (None, true),
+        };
+        BatchProposal { candidates: candidate.into_iter().collect(), interrupted }
     }
 }
 
@@ -271,46 +257,33 @@ impl Verifier for VerAdapter {
     }
 }
 
-/// The serial loop's search configuration: the run seed with the default
-/// (deterministic) policies, so single-threaded behaviour is unchanged
-/// from the pre-portfolio code.
-fn serial_search(opts: &SynthOptions) -> SearchConfig {
-    SearchConfig { seed: opts.seed, ..SearchConfig::default() }
-}
-
 fn make_generator(opts: &SynthOptions) -> GenAdapter {
     // Certify mode also certifies the *generator*: base-level exhaustion
     // claims then carry an UNSAT certificate (retained by the result
     // cache as the enumeration-completeness proof).
-    let build =
-        if opts.certify { SmtGenerator::new_certified } else { SmtGenerator::new_with_config };
+    let build = if opts.certify { SmtGenerator::new_certified } else { SmtGenerator::new };
     let mut inner = build(
         opts.shape.clone(),
         opts.net.clone(),
         opts.thresholds.clone(),
         opts.mode.feasibility(),
-        serial_search(opts),
     );
     inner.set_region_pruning(opts.region_pruning);
     inner.set_theory_sync(opts.theory_sync);
     GenAdapter::new(inner, make_replay(opts), opts.region_pruning)
 }
 
-fn verify_config(opts: &SynthOptions, search: SearchConfig) -> VerifyConfig {
-    VerifyConfig {
+fn make_verifier(opts: &SynthOptions) -> CcaVerifier {
+    CcaVerifier::new(VerifyConfig {
         net: opts.net.clone(),
         thresholds: opts.thresholds.clone(),
         worst_case: opts.mode.worst_case(),
         wce_precision: opts.wce_precision.clone(),
         incremental: opts.incremental,
         certify: opts.certify,
-        search,
+        search: SearchConfig,
         theory_sync: opts.theory_sync,
-    }
-}
-
-fn make_verifier(opts: &SynthOptions) -> CcaVerifier {
-    CcaVerifier::new(verify_config(opts, serial_search(opts)))
+    })
 }
 
 /// The replay prefilter matching `opts`' generator semantics.
@@ -323,285 +296,13 @@ pub fn build_loop(opts: &SynthOptions) -> (GenAdapter, VerAdapter) {
     (make_generator(opts), VerAdapter::new(make_verifier(opts)))
 }
 
-/// Partition the candidate space into shards for `workers` workers: each
-/// shard pins a prefix of the coefficient vector (in [`CcaSpec::flat`]
-/// order) to one combination of domain values. The prefix length is the
-/// smallest that yields at least one shard per worker, capped one short of
-/// the full coefficient count so a shard always leaves the generator a
-/// real sub-space to search.
-///
-/// Shards are ordered lexicographically by domain position; the portfolio
-/// resolves simultaneous solutions in favour of the lowest shard, so this
-/// order is part of the deterministic-outcome contract.
-pub fn shard_plan(shape: &TemplateShape, workers: usize) -> Vec<Vec<Rat>> {
-    let domain = shape.domain.values();
-    if domain.is_empty() {
-        return Vec::new();
-    }
-    let max_prefix = shape.num_coefficients().saturating_sub(1).max(1);
-    let mut prefix_len = 1usize;
-    let mut count = domain.len();
-    while count < workers && prefix_len < max_prefix {
-        prefix_len += 1;
-        count = count.saturating_mul(domain.len());
-    }
-    let mut prefixes: Vec<Vec<Rat>> = vec![Vec::new()];
-    for _ in 0..prefix_len {
-        let mut next = Vec::with_capacity(prefixes.len() * domain.len());
-        for p in &prefixes {
-            for v in &domain {
-                let mut q = p.clone();
-                q.push(v.clone());
-                next.push(q);
-            }
-        }
-        prefixes = next;
-    }
-    prefixes
-}
-
-/// One portfolio worker: a diversified generator/verifier pair plus the
-/// broadcast-counterexample replay cache.
-struct CcaWorker {
-    generator: SmtGenerator,
-    verifier: CcaVerifier,
-    replay: TraceReplay,
-    shards: Arc<Vec<Vec<Rat>>>,
-    /// Every counterexample this worker knows (own + broadcast), fed to the
-    /// replay prefilter. Outlives shards. With region pruning on, kept
-    /// subsumption-reduced: only traces no other cached trace subsumes.
-    cached: Vec<Trace>,
-    /// Traces asserted into the generator inside the *current* shard scope.
-    /// Cleared on shard entry/exit — the assertions vanish with the scope.
-    shard_learned: Vec<Trace>,
-    /// Whether subsumption filtering is enabled (mirrors
-    /// [`SynthOptions::region_pruning`]).
-    subsume: bool,
-    /// Subsumption drops: shard assertions skipped plus broadcast traces
-    /// dropped from (or evicted out of) the replay cache.
-    cex_subsumed: u64,
-}
-
-impl CcaWorker {
-    /// Assert `trace`'s constraint at the current (shard) scope unless it
-    /// is already asserted there — or an asserted trace subsumes it, in
-    /// which case the shard scope already excludes everything it would.
-    fn learn_in_shard(&mut self, refuted: &CcaSpec, trace: Trace) {
-        // Same waste canonicalization (with the same refutation guard) as
-        // the serial path's `GenAdapter::learn`.
-        let mut canon = trace.clone();
-        self.replay.canonicalize(&mut canon);
-        let trace = if self.replay.refutes(refuted, &canon) { canon } else { trace };
-        if self.shard_learned.contains(&trace) {
-            return;
-        }
-        if self.subsume && self.shard_learned.iter().any(|t| self.replay.subsumes(t, &trace)) {
-            self.cex_subsumed += 1;
-            return;
-        }
-        self.generator.learn_refuted(refuted, &trace);
-        self.shard_learned.push(trace);
-    }
-}
-
-impl PortfolioWorker for CcaWorker {
-    type Candidate = CcaSpec;
-    type Cex = Trace;
-
-    fn enter_shard(&mut self, shard: usize) {
-        self.generator.enter_shard(&self.shards[shard]);
-        self.shard_learned.clear();
-    }
-
-    fn exit_shard(&mut self) {
-        self.generator.exit_shard();
-        self.shard_learned.clear();
-    }
-
-    fn cache_cex(&mut self, cex: Trace) {
-        if self.cached.contains(&cex) {
-            return;
-        }
-        if self.subsume {
-            // Subsumption at the exchange boundary: an incoming trace a
-            // cached one subsumes is dropped; cached traces the incoming
-            // one subsumes are evicted. Either way every kill the dropped
-            // trace could score, a surviving trace scores too, so the
-            // prefilter loses no power while the scan stays short.
-            if self.cached.iter().any(|t| self.replay.subsumes(t, &cex)) {
-                self.cex_subsumed += 1;
-                return;
-            }
-            let before = self.cached.len();
-            self.cached.retain(|t| !self.replay.subsumes(&cex, t));
-            self.cex_subsumed += (before - self.cached.len()) as u64;
-        }
-        self.cached.push(cex);
-    }
-
-    fn exchange(&mut self, round: u64) -> (u64, u64) {
-        self.verifier.exchange_clauses(round)
-    }
-
-    fn step(
-        &mut self,
-        deadline: Option<Instant>,
-        cancel: &Arc<AtomicBool>,
-    ) -> StepReport<CcaSpec, Trace> {
-        if cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
-            return StepReport::bare(StepOutcome::Interrupted);
-        }
-        let interrupt = Interrupt { deadline, cancel: Some(cancel.clone()) };
-
-        let gen_start = Instant::now();
-        let proposal = self.generator.propose_interruptible(&interrupt);
-        let mut generator_time = gen_start.elapsed();
-        let spec = match proposal {
-            Proposal::Candidate(spec) => spec,
-            Proposal::Exhausted => {
-                return StepReport { generator_time, ..StepReport::bare(StepOutcome::Exhausted) }
-            }
-            Proposal::Interrupted => {
-                return StepReport { generator_time, ..StepReport::bare(StepOutcome::Interrupted) }
-            }
-        };
-
-        // Replay prefilter over the broadcast cache: a known trace that
-        // kills the candidate saves a verifier call. Learning it pins the
-        // kill into the generator for the rest of this shard.
-        let hit = self.cached.iter().find(|t| self.replay.refutes(&spec, t)).cloned();
-        if let Some(trace) = hit {
-            let learn_start = Instant::now();
-            self.learn_in_shard(&spec, trace);
-            generator_time += learn_start.elapsed();
-            return StepReport {
-                replay_hits: 1,
-                generator_time,
-                ..StepReport::bare(StepOutcome::Refuted)
-            };
-        }
-
-        let ver_start = Instant::now();
-        let verdict = self.verifier.verify_interruptible(&spec, &interrupt);
-        let verifier_time = ver_start.elapsed();
-        match verdict {
-            Verdict::Pass => StepReport {
-                verifier_calls: 1,
-                generator_time,
-                verifier_time,
-                ..StepReport::bare(StepOutcome::Solution(spec))
-            },
-            Verdict::Fail(trace) => {
-                let learn_start = Instant::now();
-                self.learn_in_shard(&spec, trace.clone());
-                self.cache_cex(trace.clone());
-                generator_time += learn_start.elapsed();
-                StepReport {
-                    new_cexs: vec![trace],
-                    verifier_calls: 1,
-                    generator_time,
-                    verifier_time,
-                    ..StepReport::bare(StepOutcome::Refuted)
-                }
-            }
-            Verdict::Timeout => StepReport {
-                verifier_calls: 1,
-                generator_time,
-                verifier_time,
-                ..StepReport::bare(StepOutcome::Interrupted)
-            },
-        }
-    }
-}
-
-fn synthesize_serial(opts: &SynthOptions) -> SynthResult {
-    let mut generator = make_generator(opts);
-    let replayer = make_replay(opts);
-    let replay = |c: &CcaSpec, cex: &Trace| replayer.refutes(c, cex);
-    let mut verifier = VerAdapter::new(make_verifier(opts));
-    let mut run =
-        ccmatic_cegis::run_with_replay(&mut generator, &mut verifier, replay, &opts.budget);
-    run.stats.regions_pruned = generator.inner.regions_pruned;
-    run.stats.cex_subsumed = generator.cex_subsumed;
-    SynthResult {
-        outcome: run.outcome,
-        stats: run.stats,
-        verifier_probes: verifier.inner.solver_probes,
-        cert_audit: verifier.inner.cert_audit,
-        workers: Vec::new(),
-    }
-}
-
-fn synthesize_portfolio(opts: &SynthOptions) -> SynthResult {
-    let shards = Arc::new(shard_plan(&opts.shape, opts.threads));
-    // Clause sharing requires identical base encodings (and thus variable
-    // numbering) across workers — only the incremental path has one.
-    let exchange = opts.incremental.then(|| Arc::new(ClauseExchange::new(opts.threads)));
-    let mut workers: Vec<CcaWorker> = (0..opts.threads)
-        .map(|w| {
-            let search = SearchConfig::diversified(opts.seed, w);
-            let mut generator = SmtGenerator::new_with_config(
-                opts.shape.clone(),
-                opts.net.clone(),
-                opts.thresholds.clone(),
-                opts.mode.feasibility(),
-                search.clone(),
-            );
-            generator.set_region_pruning(opts.region_pruning);
-            let mut verifier = CcaVerifier::new(verify_config(opts, search));
-            if let Some(ex) = &exchange {
-                verifier.attach_exchange(ex.clone(), w);
-            }
-            CcaWorker {
-                generator,
-                verifier,
-                replay: make_replay(opts),
-                shards: shards.clone(),
-                cached: Vec::new(),
-                shard_learned: Vec::new(),
-                subsume: opts.region_pruning,
-                cex_subsumed: 0,
-            }
-        })
-        .collect();
-    let mut run = ccmatic_cegis::run_portfolio(&mut workers, shards.len(), &opts.budget);
-    run.stats.regions_pruned = workers.iter().map(|w| w.generator.regions_pruned).sum();
-    run.stats.cex_subsumed = workers.iter().map(|w| w.cex_subsumed).sum();
-    let verifier_probes = workers.iter().map(|w| w.verifier.solver_probes).sum();
-    let mut cert_audit = CertAudit::default();
-    for w in &workers {
-        let a = w.verifier.cert_audit;
-        cert_audit.checked += a.checked;
-        cert_audit.clauses += a.clauses;
-        cert_audit.bytes += a.bytes;
-        cert_audit.check_ns += a.check_ns;
-    }
-    SynthResult {
-        outcome: run.outcome,
-        stats: run.stats,
-        verifier_probes,
-        cert_audit,
-        workers: run.workers,
-    }
-}
-
-/// Run CEGIS until the first solution (or exhaustion/budget).
-///
-/// `opts.threads == 1` — or a search space below `opts.dispatch_min` —
-/// runs the serial loop with the concrete replay prefilter; otherwise the
-/// space is split into coefficient-prefix shards and `opts.threads`
-/// diversified workers race over them through
-/// [`ccmatic_cegis::run_portfolio`], sharing counterexamples (and, on the
-/// incremental path, learned clauses) as they go.
+/// Run CEGIS until the first solution (or exhaustion/budget): the serial
+/// loop with the concrete replay prefilter, no warm-start seeds.
 pub fn synthesize(opts: &SynthOptions) -> SynthResult {
-    if opts.threads <= 1 || opts.shape.search_space_size() < opts.dispatch_min {
-        synthesize_serial(opts)
-    } else {
-        synthesize_portfolio(opts)
-    }
+    synthesize_seeded(opts, &[])
 }
 
-/// Serial CEGIS warm-started from externally found counterexamples —
+/// CEGIS warm-started from externally found counterexamples —
 /// the fuzzer's feedback path. Each `(refuted, trace)` seed is re-gated
 /// through the replay semantics of *this* configuration: seeds that still
 /// refute their candidate are asserted into the generator before the first
@@ -657,7 +358,6 @@ pub fn synthesize_seeded(opts: &SynthOptions, seeds: &[(CcaSpec, Trace)]) -> Syn
         stats: run.stats,
         verifier_probes: verifier.inner.solver_probes,
         cert_audit: verifier.inner.cert_audit,
-        workers: Vec::new(),
     }
 }
 
@@ -762,7 +462,7 @@ mod tests {
                     wce_precision: opts.wce_precision.clone(),
                     incremental: true,
                     certify: false,
-                    search: SearchConfig::default(),
+                    search: SearchConfig,
                     theory_sync: true,
                 });
                 assert!(v.verify(&spec).is_ok(), "synthesized CCA failed re-verification: {spec}");
@@ -786,43 +486,34 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_covers_the_space_and_scales_with_workers() {
-        let shape = TemplateShape { lookback: 3, use_cwnd: false, domain: CoeffDomain::Small };
-        // One worker: a single-coefficient prefix, 3 shards.
-        let small = shard_plan(&shape, 1);
-        assert_eq!(small.len(), 3);
-        assert!(small.iter().all(|p| p.len() == 1));
-        // Four workers: 3 < 4, so the prefix grows to 2 coefficients.
-        let wide = shard_plan(&shape, 4);
-        assert_eq!(wide.len(), 9);
-        assert!(wide.iter().all(|p| p.len() == 2));
-        // Every shard is distinct.
-        for i in 0..wide.len() {
-            for j in (i + 1)..wide.len() {
-                assert_ne!(wide[i], wide[j]);
-            }
+    fn wall_budget_interrupts_mid_query_on_large_domain() {
+        // The Large-domain WCE searches run far past 5 s per query; without
+        // the in-solver interrupt the loop could only notice the deadline
+        // between iterations, minutes late. Accept a ~3 s grace for the
+        // fixpoint-poll granularity and scheduling.
+        let opts = SynthOptions {
+            shape: TemplateShape { lookback: 4, use_cwnd: false, domain: CoeffDomain::Large },
+            net: NetConfig {
+                horizon: 9,
+                history: 5,
+                link_rate: Rat::one(),
+                jitter: 1,
+                buffer: None,
+            },
+            budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(5) },
+            ..quick_opts(OptMode::RangePruningWce)
+        };
+        let start = Instant::now();
+        let r = synthesize(&opts);
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(8), "overshot its 5s wall budget: {elapsed:?}");
+        if let Outcome::Solution(spec) = &r.outcome {
+            let mut v = CcaVerifier::new(VerifyConfig {
+                net: opts.net.clone(),
+                thresholds: opts.thresholds.clone(),
+                ..VerifyConfig::default()
+            });
+            assert!(v.verify(spec).is_ok(), "solution failed re-verification: {spec}");
         }
-    }
-
-    #[test]
-    fn shard_plan_prefix_never_consumes_the_whole_template() {
-        // 2 coefficients total (β1, γ): even with absurd worker counts the
-        // prefix is capped at 1 coefficient, leaving the generator a real
-        // sub-space per shard.
-        let shape = TemplateShape { lookback: 1, use_cwnd: false, domain: CoeffDomain::Small };
-        let plan = shard_plan(&shape, 64);
-        assert_eq!(plan.len(), 3);
-        assert!(plan.iter().all(|p| p.len() == 1));
-    }
-
-    #[test]
-    fn tiny_spaces_dispatch_serially_even_with_many_threads() {
-        // 3⁴ = 81 < DEFAULT_DISPATCH_MIN: the dispatcher must fall back to
-        // the serial loop, so the result carries no per-worker stats.
-        let opts = SynthOptions { threads: 4, ..quick_opts(OptMode::RangePruningWce) };
-        assert!(opts.shape.search_space_size() < opts.dispatch_min);
-        let result = synthesize(&opts);
-        let Outcome::Solution(_) = result.outcome else { panic!("no solution") };
-        assert!(result.workers.is_empty(), "serial fallback must not spin up workers");
     }
 }

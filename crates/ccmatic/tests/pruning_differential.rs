@@ -2,33 +2,24 @@
 //! encoding, replay-gated region blocking, counterexample subsumption)
 //! must be outcome-invisible. A pruned and an unpruned run may walk the
 //! search space in different orders, but every observable verdict —
-//! solution found / space provably empty — must agree at every portfolio
-//! width, every solution must re-verify, and certification must stay
-//! green with pruning on.
+//! solution found / space provably empty — must agree, every solution
+//! must re-verify, and certification must stay green with pruning on.
 //!
 //! Solution *identity* is not asserted between pruned and unpruned
 //! synthesis runs (either may surface a different, equally valid member
 //! of the solution set). Exhaustive enumeration is the one place identity
 //! is well-defined — there the full solution *sets* are asserted equal.
-//!
-//! The test spaces sit far below `DEFAULT_DISPATCH_MIN`, so every
-//! portfolio test pins `dispatch_min: 0` to force the multi-worker path.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::enumerate::enumerate_all;
-use ccmatic::synth::{synthesize, OptMode, SynthOptions};
+use ccmatic::synth::{synthesize, OptMode, SynthOptions, DEFAULT_DISPATCH_MIN};
 use ccmatic::template::{CcaSpec, CoeffDomain, TemplateShape};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
 use ccmatic_num::Rat;
 use std::time::Duration;
 
-fn base_opts(
-    shape: TemplateShape,
-    net: NetConfig,
-    threads: usize,
-    region_pruning: bool,
-) -> SynthOptions {
+fn base_opts(shape: TemplateShape, net: NetConfig, region_pruning: bool) -> SynthOptions {
     SynthOptions {
         shape,
         net,
@@ -37,20 +28,19 @@ fn base_opts(
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(240) },
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
-        threads,
-        seed: 7,
-        dispatch_min: 0,
+        threads: 1,
+        seed: 0,
+        dispatch_min: DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning,
         theory_sync: true,
     }
 }
 
-fn small_opts(threads: usize, region_pruning: bool) -> SynthOptions {
+fn small_opts(region_pruning: bool) -> SynthOptions {
     base_opts(
         TemplateShape { lookback: 3, use_cwnd: false, domain: CoeffDomain::Small },
         NetConfig { horizon: 6, history: 4, link_rate: Rat::one(), jitter: 1, buffer: None },
-        threads,
         region_pruning,
     )
 }
@@ -78,29 +68,27 @@ fn reverify(opts: &SynthOptions, spec: &CcaSpec, tag: &str) {
 }
 
 #[test]
-fn outcomes_agree_with_and_without_pruning_across_widths() {
-    for threads in [1usize, 2, 4] {
-        let pruned = synthesize(&small_opts(threads, true));
-        let unpruned = synthesize(&small_opts(threads, false));
-        assert_eq!(
-            outcome_kind(&pruned.outcome),
-            outcome_kind(&unpruned.outcome),
-            "{threads}-worker verdict diverged: pruned {:?} vs unpruned {:?}",
-            pruned.outcome,
-            unpruned.outcome
-        );
-        // The small no-cwnd space is known to contain RoCC-like solutions.
-        assert_eq!(outcome_kind(&pruned.outcome), "solution", "{threads}-worker run");
-        for (r, tag) in [(&pruned, "pruned"), (&unpruned, "unpruned")] {
-            if let Outcome::Solution(spec) = &r.outcome {
-                reverify(&small_opts(threads, true), spec, &format!("{tag} {threads}-worker"));
-            }
+fn outcomes_agree_with_and_without_pruning() {
+    let pruned = synthesize(&small_opts(true));
+    let unpruned = synthesize(&small_opts(false));
+    assert_eq!(
+        outcome_kind(&pruned.outcome),
+        outcome_kind(&unpruned.outcome),
+        "verdict diverged: pruned {:?} vs unpruned {:?}",
+        pruned.outcome,
+        unpruned.outcome
+    );
+    // The small no-cwnd space is known to contain RoCC-like solutions.
+    assert_eq!(outcome_kind(&pruned.outcome), "solution");
+    for (r, tag) in [(&pruned, "pruned"), (&unpruned, "unpruned")] {
+        if let Outcome::Solution(spec) = &r.outcome {
+            reverify(&small_opts(true), spec, tag);
         }
-        // Pruning disabled must mean pruning *off*: both counters pinned
-        // to zero, so a stray always-on code path can't hide.
-        assert_eq!(unpruned.stats.regions_pruned, 0, "{threads}-worker unpruned run");
-        assert_eq!(unpruned.stats.cex_subsumed, 0, "{threads}-worker unpruned run");
     }
+    // Pruning disabled must mean pruning *off*: both counters pinned to
+    // zero, so a stray always-on code path can't hide.
+    assert_eq!(unpruned.stats.regions_pruned, 0);
+    assert_eq!(unpruned.stats.cex_subsumed, 0);
 }
 
 #[test]
@@ -115,20 +103,16 @@ fn no_solution_proof_agrees_with_and_without_pruning() {
         let mut opts = base_opts(
             TemplateShape { lookback: 2, use_cwnd: false, domain: CoeffDomain::Small },
             NetConfig { horizon: 5, history: 3, link_rate: Rat::one(), jitter: 1, buffer: None },
-            1,
             region_pruning,
         );
         opts.thresholds = Thresholds { util: Rat::one(), delay: Rat::zero() };
-        for threads in [1usize, 2, 4] {
-            opts.threads = threads;
-            let r = synthesize(&opts);
-            assert_eq!(
-                outcome_kind(&r.outcome),
-                "no-solution",
-                "{threads}-worker run (pruning={region_pruning}): {:?}",
-                r.outcome
-            );
-        }
+        let r = synthesize(&opts);
+        assert_eq!(
+            outcome_kind(&r.outcome),
+            "no-solution",
+            "pruning={region_pruning}: {:?}",
+            r.outcome
+        );
     }
 }
 
@@ -142,7 +126,6 @@ fn enumeration_is_identical_with_and_without_pruning() {
         let mut opts = base_opts(
             TemplateShape { lookback: 2, use_cwnd: false, domain: CoeffDomain::Small },
             NetConfig { horizon: 5, history: 3, link_rate: Rat::one(), jitter: 1, buffer: None },
-            1,
             region_pruning,
         );
         opts.budget = Budget { max_iterations: 600, max_wall: Duration::from_secs(240) };
@@ -162,18 +145,15 @@ fn enumeration_is_identical_with_and_without_pruning() {
 fn certified_pruned_run_stays_green() {
     // Region blocking happens inside the generator; the verifier's proof
     // obligations are untouched, so certification must pass with pruning
-    // on — serially and at width 4 (where subsumption also drops shared
-    // counterexamples).
-    for threads in [1usize, 4] {
-        let mut opts = small_opts(threads, true);
-        opts.certify = true;
-        let r = synthesize(&opts);
-        let Outcome::Solution(spec) = &r.outcome else {
-            panic!("expected a solution at width {threads}, got {:?}", r.outcome)
-        };
-        reverify(&opts, spec, &format!("certified pruned {threads}-worker"));
-        assert!(r.cert_audit.checked >= 1, "accepting verdict must be certified");
-    }
+    // on.
+    let mut opts = small_opts(true);
+    opts.certify = true;
+    let r = synthesize(&opts);
+    let Outcome::Solution(spec) = &r.outcome else {
+        panic!("expected a solution, got {:?}", r.outcome)
+    };
+    reverify(&opts, spec, "certified pruned");
+    assert!(r.cert_audit.checked >= 1, "accepting verdict must be certified");
 }
 
 #[test]
@@ -182,7 +162,7 @@ fn pruning_counters_report_activity() {
     // block neighbors (otherwise the differential tests above compare a
     // pruned run that never pruned). Subsumption activity depends on the
     // counterexample schedule and is not asserted here.
-    let r = synthesize(&small_opts(1, true));
+    let r = synthesize(&small_opts(true));
     assert_eq!(outcome_kind(&r.outcome), "solution");
     assert!(
         r.stats.regions_pruned > 0,

@@ -5,13 +5,13 @@
 //! simplex core reaches a verdict (bounds tracked against the SAT trail,
 //! implied atoms enqueued with lazy Farkas explanations) — never *which*
 //! verdict. These tests pin that equivalence on the paper's reference
-//! CCAs and on whole synthesis runs at 1, 2 and 4 workers, comparing each
-//! against the same run with the legacy reset-and-reassert bridge
-//! (`theory_sync: false`, the `--no-theory-sync` escape hatch).
+//! CCAs and on whole synthesis runs, comparing each against the same run
+//! with the legacy reset-and-reassert bridge (`theory_sync: false`, the
+//! `--no-theory-sync` escape hatch).
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::known;
-use ccmatic::synth::{synthesize, OptMode, SynthOptions};
+use ccmatic::synth::{synthesize, OptMode, SynthOptions, DEFAULT_DISPATCH_MIN};
 use ccmatic::template::{CcaSpec, CoeffDomain, TemplateShape};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
@@ -64,7 +64,7 @@ fn known_cca_verdicts_agree_across_sync_modes() {
     }
 }
 
-fn opts(threads: usize, theory_sync: bool) -> SynthOptions {
+fn opts(theory_sync: bool) -> SynthOptions {
     SynthOptions {
         shape: TemplateShape { lookback: 3, use_cwnd: false, domain: CoeffDomain::Small },
         net: NetConfig { horizon: 6, history: 4, link_rate: Rat::one(), jitter: 1, buffer: None },
@@ -73,10 +73,9 @@ fn opts(threads: usize, theory_sync: bool) -> SynthOptions {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(240) },
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
-        threads,
-        seed: 7,
-        // Tiny space: force the portfolio path at >1 thread anyway.
-        dispatch_min: 0,
+        threads: 1,
+        seed: 0,
+        dispatch_min: DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync,
@@ -92,26 +91,21 @@ fn outcome_kind(o: &Outcome<CcaSpec>) -> &'static str {
 }
 
 #[test]
-fn synthesis_outcome_agrees_across_sync_modes_at_1_2_4_threads() {
-    for threads in [1usize, 2, 4] {
-        let synced = synthesize(&opts(threads, true));
-        let legacy = synthesize(&opts(threads, false));
-        assert_eq!(
-            outcome_kind(&synced.outcome),
-            outcome_kind(&legacy.outcome),
-            "outcome kind diverged at {threads} threads"
-        );
-        // Any solution must survive a fresh verifier — regardless of which
-        // bridge found it (different search orders may surface different,
-        // equally valid members of the solution set).
-        for (label, result) in [("sync", &synced), ("no-sync", &legacy)] {
-            if let Outcome::Solution(spec) = &result.outcome {
-                let mut v = verifier(true, false, true);
-                assert!(
-                    v.verify(spec).is_ok(),
-                    "{label} solution at {threads} threads failed re-verification: {spec}"
-                );
-            }
+fn synthesis_outcome_agrees_across_sync_modes() {
+    let synced = synthesize(&opts(true));
+    let legacy = synthesize(&opts(false));
+    assert_eq!(
+        outcome_kind(&synced.outcome),
+        outcome_kind(&legacy.outcome),
+        "outcome kind diverged"
+    );
+    // Any solution must survive a fresh verifier — regardless of which
+    // bridge found it (different search orders may surface different,
+    // equally valid members of the solution set).
+    for (label, result) in [("sync", &synced), ("no-sync", &legacy)] {
+        if let Outcome::Solution(spec) = &result.outcome {
+            let mut v = verifier(true, false, true);
+            assert!(v.verify(spec).is_ok(), "{label} solution failed re-verification: {spec}");
         }
     }
 }
@@ -121,13 +115,13 @@ fn serial_synthesis_at_fixed_seed_is_reproducible_with_sync() {
     // Trail-sync introduces no hidden nondeterminism: two identical serial
     // runs in one process must match on every counter that reflects search
     // order, not just the outcome.
-    let a = synthesize(&opts(1, true));
-    let b = synthesize(&opts(1, true));
+    let a = synthesize(&opts(true));
+    let b = synthesize(&opts(true));
     assert_eq!(outcome_kind(&a.outcome), outcome_kind(&b.outcome));
     assert_eq!(a.stats.iterations, b.stats.iterations);
     assert_eq!(a.stats.cex_subsumed, b.stats.cex_subsumed);
     assert_eq!(a.verifier_probes, b.verifier_probes);
     if let (Outcome::Solution(sa), Outcome::Solution(sb)) = (&a.outcome, &b.outcome) {
-        assert_eq!(sa, sb, "same seed, different solution");
+        assert_eq!(sa, sb, "same input, different solution");
     }
 }

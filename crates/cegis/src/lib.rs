@@ -16,12 +16,6 @@
 //! loop drives CCA synthesis (the `ccmatic` crate), ABR
 //! verification tuning, and the unit-test toy domains below.
 
-pub mod portfolio;
-
-pub use portfolio::{
-    run_portfolio, PortfolioResult, PortfolioWorker, StepOutcome, StepReport, WorkerStats,
-};
-
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,11 +60,10 @@ pub trait Generator {
     /// are free to deduplicate.
     fn learn(&mut self, candidate: &Self::Candidate, cex: &Self::CounterExample);
 
-    /// Produce up to `k` mutually distinct candidates, optionally giving up
-    /// at `deadline`. The default ignores batching and the deadline and
-    /// defers to [`Generator::propose`]; SMT-backed generators override it
-    /// with scoped blocking clauses so one warm solver yields the whole
-    /// batch.
+    /// Produce a candidate, optionally giving up at `deadline`. The loop
+    /// always asks for `k = 1`; the default ignores `k` and the deadline and
+    /// defers to [`Generator::propose`], while SMT-backed generators
+    /// override it to honor the deadline mid-search.
     fn propose_batch(
         &mut self,
         k: usize,
@@ -155,15 +148,6 @@ pub struct Stats {
     /// refuted by re-running an already-learned trace against the
     /// candidate's rule directly, without an SMT call.
     pub replay_hits: u64,
-    /// Portfolio step reports discarded without being merged (work on a
-    /// shard overtaken by a solution in a lower shard).
-    pub speculative_wasted: u64,
-    /// Shards pulled from the portfolio queue beyond each worker's first.
-    pub shards_stolen: u64,
-    /// Learned clauses published to the portfolio clause exchange.
-    pub shared_clauses_exported: u64,
-    /// Sibling clauses imported from the portfolio clause exchange.
-    pub shared_clauses_imported: u64,
     /// Candidates blocked by counterexample *region* generalization —
     /// replay-verified neighbors and symmetry images of a refuted candidate
     /// excluded beyond the refuted point itself.
@@ -244,75 +228,29 @@ pub fn run_with_progress<G, V, F>(
     generator: &mut G,
     verifier: &mut V,
     budget: &Budget,
-    mut progress: F,
+    progress: F,
 ) -> RunResult<G::Candidate>
 where
     G: Generator,
     V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
     F: FnMut(Event<'_, G::Candidate, G::CounterExample>),
 {
-    let start = Instant::now();
-    // The deadline is threaded into both oracles so a single long proposal
-    // or WCE binary search cannot blow far past `max_wall` (it used to be
-    // checked only between iterations).
-    let deadline = start.checked_add(budget.max_wall);
-    let mut stats = Stats::default();
-    loop {
-        if stats.iterations >= budget.max_iterations || start.elapsed() >= budget.max_wall {
-            stats.wall = start.elapsed();
-            return RunResult { outcome: Outcome::BudgetExhausted, stats };
-        }
-        stats.iterations += 1;
-
-        let g0 = Instant::now();
-        let proposal = generator.propose_batch(1, deadline);
-        stats.generator_time += g0.elapsed();
-        let Some(candidate) = proposal.candidates.into_iter().next() else {
-            stats.wall = start.elapsed();
-            let outcome =
-                if proposal.interrupted { Outcome::BudgetExhausted } else { Outcome::NoSolution };
-            return RunResult { outcome, stats };
-        };
-        progress(Event::Proposed(stats.iterations, &candidate));
-
-        let v0 = Instant::now();
-        let verdict = verifier.verify_interruptible(&candidate, deadline, None);
-        stats.verifier_time += v0.elapsed();
-        stats.verifier_calls += 1;
-
-        match verdict {
-            Verdict::Pass => {
-                progress(Event::Certified(stats.iterations, &candidate));
-                stats.wall = start.elapsed();
-                return RunResult { outcome: Outcome::Solution(candidate), stats };
-            }
-            Verdict::Fail(cex) => {
-                progress(Event::Refuted(stats.iterations, &candidate, &cex));
-                let g1 = Instant::now();
-                generator.learn(&candidate, &cex);
-                stats.generator_time += g1.elapsed();
-            }
-            Verdict::Timeout => {
-                stats.wall = start.elapsed();
-                return RunResult { outcome: Outcome::BudgetExhausted, stats };
-            }
-        }
-    }
+    drive(generator, verifier, None, budget, Vec::new(), progress)
 }
 
-/// Serial CEGIS with the concrete counterexample-replay prefilter: before
-/// paying for an SMT verifier call, re-run every learned trace against the
-/// new candidate via `replay` (`replay(c, τ) == true` means τ concretely
+/// CEGIS with the concrete counterexample-replay prefilter: before paying
+/// for an SMT verifier call, re-run every learned trace against the new
+/// candidate via `replay` (`replay(c, τ) == true` means τ concretely
 /// refutes `c`). A replay kill counts as an iteration and is fed back
 /// through [`Generator::learn`] with the old trace, but costs no verifier
 /// call.
 ///
 /// With an exact generator (one whose learned constraints exclude every
-/// replay-refutable candidate, like the SMT generator) the prefilter never
-/// fires on the serial path — it is a cross-check there, and pays off in
-/// the portfolio engine where siblings propose candidates before each
-/// other's counterexamples arrive. A consecutive-kill cap forces an SMT call every
-/// `REPLAY_KILL_CAP` kills so inexact generators still make progress.
+/// replay-refutable candidate, like the SMT generator) the prefilter only
+/// fires on seeds carried in from another problem instance
+/// ([`run_with_replay_seeded`]); otherwise it is a cross-check. A
+/// consecutive-kill cap forces an SMT call every `REPLAY_KILL_CAP` kills
+/// so inexact generators still make progress.
 pub fn run_with_replay<G, V, R>(
     generator: &mut G,
     verifier: &mut V,
@@ -322,7 +260,6 @@ pub fn run_with_replay<G, V, R>(
 where
     G: Generator,
     V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
-    G::CounterExample: Clone,
     R: Fn(&G::Candidate, &G::CounterExample) -> bool,
 {
     run_with_replay_seeded(generator, verifier, replay, budget, Vec::new())
@@ -344,18 +281,41 @@ pub fn run_with_replay_seeded<G, V, R>(
 where
     G: Generator,
     V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
-    G::CounterExample: Clone,
     R: Fn(&G::Candidate, &G::CounterExample) -> bool,
 {
+    drive(generator, verifier, Some(&replay), budget, seeds, |_| {})
+}
+
+/// A replay oracle: `true` when the counterexample concretely refutes the
+/// candidate.
+type ReplayFn<'a, C, X> = &'a dyn Fn(&C, &X) -> bool;
+
+/// The one CEGIS loop behind every entry point: propose → (replay) →
+/// verify → learn, until a solution, exhaustion or the budget. Without a
+/// `replay` oracle no counterexample is kept and the prefilter is skipped.
+fn drive<G, V, F>(
+    generator: &mut G,
+    verifier: &mut V,
+    replay: Option<ReplayFn<'_, G::Candidate, G::CounterExample>>,
+    budget: &Budget,
+    seeds: Vec<G::CounterExample>,
+    mut progress: F,
+) -> RunResult<G::Candidate>
+where
+    G: Generator,
+    V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
+    F: FnMut(Event<'_, G::Candidate, G::CounterExample>),
+{
     let start = Instant::now();
+    // The deadline is threaded into both oracles so a single long proposal
+    // or WCE binary search cannot blow far past `max_wall`.
     let deadline = start.checked_add(budget.max_wall);
     let mut stats = Stats::default();
     let mut learned: Vec<G::CounterExample> = seeds;
     let mut consecutive_kills = 0u32;
-    loop {
+    let outcome = loop {
         if stats.iterations >= budget.max_iterations || start.elapsed() >= budget.max_wall {
-            stats.wall = start.elapsed();
-            return RunResult { outcome: Outcome::BudgetExhausted, stats };
+            break Outcome::BudgetExhausted;
         }
         stats.iterations += 1;
 
@@ -363,19 +323,21 @@ where
         let proposal = generator.propose_batch(1, deadline);
         stats.generator_time += g0.elapsed();
         let Some(candidate) = proposal.candidates.into_iter().next() else {
-            stats.wall = start.elapsed();
-            let outcome =
-                if proposal.interrupted { Outcome::BudgetExhausted } else { Outcome::NoSolution };
-            return RunResult { outcome, stats };
+            break if proposal.interrupted {
+                Outcome::BudgetExhausted
+            } else {
+                Outcome::NoSolution
+            };
         };
+        progress(Event::Proposed(stats.iterations, &candidate));
 
-        if consecutive_kills < REPLAY_KILL_CAP {
+        if let Some(replay) = replay.filter(|_| consecutive_kills < REPLAY_KILL_CAP) {
             if let Some(cex) = learned.iter().find(|x| replay(&candidate, x)) {
                 stats.replay_hits += 1;
                 consecutive_kills += 1;
-                let cex = cex.clone();
+                progress(Event::Refuted(stats.iterations, &candidate, cex));
                 let g1 = Instant::now();
-                generator.learn(&candidate, &cex);
+                generator.learn(&candidate, cex);
                 stats.generator_time += g1.elapsed();
                 continue;
             }
@@ -389,21 +351,23 @@ where
 
         match verdict {
             Verdict::Pass => {
-                stats.wall = start.elapsed();
-                return RunResult { outcome: Outcome::Solution(candidate), stats };
+                progress(Event::Certified(stats.iterations, &candidate));
+                break Outcome::Solution(candidate);
             }
             Verdict::Fail(cex) => {
+                progress(Event::Refuted(stats.iterations, &candidate, &cex));
                 let g1 = Instant::now();
                 generator.learn(&candidate, &cex);
                 stats.generator_time += g1.elapsed();
-                learned.push(cex);
+                if replay.is_some() {
+                    learned.push(cex);
+                }
             }
-            Verdict::Timeout => {
-                stats.wall = start.elapsed();
-                return RunResult { outcome: Outcome::BudgetExhausted, stats };
-            }
+            Verdict::Timeout => break Outcome::BudgetExhausted,
         }
-    }
+    };
+    stats.wall = start.elapsed();
+    RunResult { outcome, stats }
 }
 
 /// After this many consecutive replay kills, [`run_with_replay`] forces an
@@ -556,8 +520,7 @@ mod tests {
     #[test]
     fn replay_never_fires_with_exact_generator() {
         // Range pruning learns exactly what replay checks, so the prefilter
-        // must never fire — the serial-path cross-check the portfolio engine
-        // relies on.
+        // must never fire.
         let mut g = EnumGen { remaining: (0..=100).collect(), range_pruning: true };
         let mut v = ThresholdVerifier { hidden: 37, calls: 0, worst_case: true };
         let r = run_with_replay(&mut g, &mut v, |c, x| c <= x, &Budget::default());

@@ -5,9 +5,8 @@
 //! no budget at all. [`Interrupt`] carries a deadline and/or a shared
 //! cancellation flag down into the CDCL search loop, which polls it once
 //! per propagation fixpoint and gives up with an *Unknown* verdict (never a
-//! fake Sat/Unsat) when it fires. The cancellation flag is how the parallel
-//! CEGIS engine kills speculative verifier work the moment a sibling's
-//! result makes it moot.
+//! fake Sat/Unsat) when it fires. The cancellation flag lets another
+//! thread stop a query whose answer is no longer needed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +39,7 @@ impl Interrupt {
     }
 
     /// Whether the interrupt has fired. The flag is checked before the
-    /// clock: a cancelled worker should stop even if its deadline is far
+    /// clock: a cancelled query should stop even if its deadline is far
     /// away.
     pub fn triggered(&self) -> bool {
         if let Some(flag) = &self.cancel {

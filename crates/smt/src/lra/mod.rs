@@ -19,7 +19,7 @@
 //!
 //! Tableau rows are flat sorted `Vec<(SimVar, Rat)>` sparse vectors rather
 //! than `BTreeMap`s: rows are read far more often than they are restructured,
-//! and the hot substitution step ([`Row::add_scaled`]) is a linear merge of
+//! and the hot substitution step (`Row::add_scaled`) is a linear merge of
 //! two sorted lists through a reusable scratch buffer, so the pivot loop
 //! performs no per-entry node allocation and no pointer chasing.
 

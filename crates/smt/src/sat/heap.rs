@@ -118,28 +118,6 @@ impl ActivityHeap {
         }
     }
 
-    /// Remove and return the element at heap position `i` (not element id),
-    /// restoring the heap property. Used by the portfolio's random-decision
-    /// perturbation: a uniformly random heap position is a cheap
-    /// (activity-biased, but that is fine for diversification) way to pick a
-    /// non-maximal variable without a full scan.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn remove_index(&mut self, i: usize) -> usize {
-        assert!(i < self.heap.len(), "heap position {i} out of bounds");
-        let id = self.heap[i];
-        let last = self.heap.pop().unwrap();
-        self.pos[id] = ABSENT;
-        if i < self.heap.len() {
-            self.heap[i] = last;
-            self.pos[last] = i;
-            self.sift_up(i);
-            self.sift_down(self.pos[last]);
-        }
-        id
-    }
-
     /// Number of elements currently in the heap.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -4,12 +4,10 @@
 //! ```text
 //! ccmatic synth   [--space no-cwnd-small|no-cwnd-large|cwnd-small|cwnd-large]
 //!                 [--mode baseline|rp|rp-wce] [--util F] [--delay F]
-//!                 [--budget-secs N] [--horizon N] [--lookback N]
-//!                 [--threads N]   (default: CCMATIC_SYNTH_THREADS, else all cores)
-//!                 [--seed N]      (portfolio seed; default: CCMATIC_SEED, else 0)
-//!                 [--dispatch-min N]  (serial below N candidates; 0 forces the portfolio)
+//!                 [--budget-secs N] [--horizon N] [--lookback N] [--jitter N]
 //!                 [--stats]       (kernel counters: pivots, promotions, coverage)
 //!                 [--certify]     (checker-replayed proof certificates on every verdict)
+//!                 [--no-theory-sync] [--no-region-pruning]  (A/B escape hatches)
 //! ccmatic verify  --cca "b1,b2,b3,b4,g"   (β taps then γ; rationals like 3/2)
 //!                 [--certify]
 //! ccmatic enumerate [same space/threshold flags]
@@ -28,7 +26,11 @@
 //! ```
 //!
 //! Flags use simple `--key value` parsing (no external argument-parser
-//! dependency, per the workspace dependency policy).
+//! dependency, per the workspace dependency policy). A flag missing from
+//! the usage text, a missing value or a value that does not parse prints
+//! the usage and exits non-zero — a stale script never silently runs
+//! with defaults. Synthesis is one serial CEGIS loop, so there is no
+//! thread-count or seed flag; `CCMATIC_SWEEP_THREADS` sizes the sweep pool.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::assumptions::describe;
@@ -42,21 +44,96 @@ use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
 use ccmatic_num::{rat, Rat};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-struct Args(Vec<String>);
+/// Flags that take a value, as listed in the usage text.
+const VALUE_FLAGS: &[&str] = &[
+    "--space",
+    "--mode",
+    "--util",
+    "--delay",
+    "--budget-secs",
+    "--horizon",
+    "--lookback",
+    "--jitter",
+    "--cache-dir",
+    "--axis",
+    "--values",
+    "--sweep-budget-secs",
+    "--cca",
+    "--cca-b",
+    "--target",
+    "--fuzz-seed",
+    "--generations",
+    "--population",
+    "--initial-cwnd",
+    "--out",
+];
+
+/// Flags that take no value, as listed in the usage text.
+const SWITCHES: &[&str] = &[
+    "--stats",
+    "--certify",
+    "--no-theory-sync",
+    "--no-region-pruning",
+    "--no-warm-start",
+    "--fail-on-gap",
+    "--expect-failure",
+    "--seed-cegis",
+];
+
+/// The flags after the subcommand, checked against the usage text.
+struct Args {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
 
 impl Args {
+    /// Split `argv` into known valued flags and switches; anything else is
+    /// an error.
+    fn parse(argv: &[String]) -> Result<Args, String> {
+        let mut args = Args { values: Vec::new(), switches: Vec::new() };
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if let Some(&key) = VALUE_FLAGS.iter().find(|&&k| k == a) {
+                let value = it.next().ok_or_else(|| format!("{key} needs a value"))?;
+                args.values.push((key, value.clone()));
+            } else if let Some(&key) = SWITCHES.iter().find(|&&k| k == a) {
+                args.switches.push(key);
+            } else {
+                return Err(format!("unknown flag `{a}`"));
+            }
+        }
+        Ok(args)
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
-        self.0.windows(2).find(|w| w[0] == key).map(|w| w[1].as_str())
+        self.values.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
     }
 
     fn has(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+        self.switches.contains(&key)
     }
 
-    fn rat(&self, key: &str) -> Option<Rat> {
-        self.get(key).and_then(Rat::from_decimal_str)
+    /// The value of `key` parsed as `T`; a value that does not parse is an
+    /// error, an absent flag is `None`.
+    fn num<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.trim().parse().map_err(|_| format!("{key}: cannot parse `{v}`")))
+            .transpose()
+    }
+
+    /// Like [`Args::num`], for a CCA given as `"b1,…,g"`.
+    fn spec(&self, key: &str) -> Result<Option<CcaSpec>, String> {
+        self.get(key).map(|v| parse_spec(v).ok_or(format!("{key}: cannot parse `{v}`"))).transpose()
+    }
+
+    /// Like [`Args::num`], for rationals such as `3/2` or `0.65`.
+    fn rat(&self, key: &str) -> Result<Option<Rat>, String> {
+        self.get(key)
+            .map(|v| Rat::from_decimal_str(v.trim()).ok_or(format!("{key}: cannot parse `{v}`")))
+            .transpose()
     }
 }
 
@@ -107,16 +184,14 @@ impl KernelSnapshot {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ccmatic <synth|verify|enumerate|sweep|assume|diff> [flags]\n\
+        "usage: ccmatic <synth|verify|enumerate|sweep|assume|diff|fuzz> [flags]\n\
          flags: --space no-cwnd-small|no-cwnd-large|cwnd-small|cwnd-large\n\
          \x20      --mode baseline|rp|rp-wce   --util F --delay F\n\
          \x20      --budget-secs N --horizon N --lookback N --jitter N\n\
-         \x20      --threads N  (portfolio width; default $CCMATIC_SYNTH_THREADS, else cores)\n\
-         \x20      --seed N  (search diversification seed; default $CCMATIC_SEED, else 0)\n\
-         \x20      --dispatch-min N  (run serially below N candidates; 0 forces the portfolio)\n\
          \x20      --stats  (print kernel counters: pivots, promotions, fast-path coverage,\n\
          \x20                theory props, bounds asserted/reused)\n\
          \x20      --no-theory-sync  (legacy reset-and-reassert theory bridge; A/B timing)\n\
+         \x20      --no-region-pruning  (plain response-variable encoding; A/B timing)\n\
          \x20      --certify  (synth/verify: re-check every UNSAT verdict against a\n\
          \x20                  DRAT+Farkas certificate with the independent checker)\n\
          \x20      --cache-dir DIR  (enumerate/sweep: certificate-backed result cache)\n\
@@ -131,6 +206,12 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Report a malformed command line, then the usage.
+fn bad_usage(msg: &str) -> ExitCode {
+    eprintln!("ccmatic: {msg}");
+    usage()
+}
+
 fn parse_spec(s: &str) -> Option<CcaSpec> {
     let parts: Vec<Rat> =
         s.split(',').map(|p| Rat::from_decimal_str(p.trim())).collect::<Option<Vec<_>>>()?;
@@ -141,66 +222,108 @@ fn parse_spec(s: &str) -> Option<CcaSpec> {
     Some(CcaSpec { alpha: Vec::new(), beta: beta.to_vec(), gamma: gamma[0].clone() })
 }
 
-fn shape_from(args: &Args) -> TemplateShape {
+fn shape_from(args: &Args) -> Result<TemplateShape, String> {
     let mut shape = match args.get("--space").unwrap_or("no-cwnd-small") {
+        "no-cwnd-small" => TemplateShape::no_cwnd_small(),
         "no-cwnd-large" => TemplateShape::no_cwnd_large(),
         "cwnd-small" => TemplateShape::cwnd_small(),
         "cwnd-large" => TemplateShape::cwnd_large(),
-        _ => TemplateShape::no_cwnd_small(),
+        other => return Err(format!("unknown --space `{other}`")),
     };
-    if let Some(lb) = args.get("--lookback").and_then(|v| v.parse().ok()) {
+    if let Some(lb) = args.num("--lookback")? {
         shape.lookback = lb;
     }
-    shape
+    Ok(shape)
 }
 
-fn net_from(args: &Args, lookback: usize) -> NetConfig {
+fn net_from(args: &Args, lookback: usize) -> Result<NetConfig, String> {
     let mut net = NetConfig::default();
-    if let Some(h) = args.get("--horizon").and_then(|v| v.parse().ok()) {
+    if let Some(h) = args.num("--horizon")? {
         net.horizon = h;
     }
-    if let Some(j) = args.get("--jitter").and_then(|v| v.parse().ok()) {
+    if let Some(j) = args.num("--jitter")? {
         net.jitter = j;
     }
     net.history = lookback + 1;
-    net
+    Ok(net)
 }
 
-fn thresholds_from(args: &Args) -> Thresholds {
+fn thresholds_from(args: &Args) -> Result<Thresholds, String> {
     let mut th = Thresholds::default();
-    if let Some(u) = args.rat("--util") {
+    if let Some(u) = args.rat("--util")? {
         th.util = u;
     }
-    if let Some(d) = args.rat("--delay") {
+    if let Some(d) = args.rat("--delay")? {
         th.delay = d;
     }
-    th
+    Ok(th)
+}
+
+/// Every valued flag, parsed and checked before any subcommand runs.
+struct Common {
+    shape: TemplateShape,
+    net: NetConfig,
+    th: Thresholds,
+    budget_secs: u64,
+    mode: OptMode,
+    sweep_wall: Option<Duration>,
+    fuzz_seed: u64,
+    generations: usize,
+    population: usize,
+    initial_cwnd: Rat,
+    cca: Option<CcaSpec>,
+    cca_b: Option<CcaSpec>,
+}
+
+fn common_from(args: &Args) -> Result<Common, String> {
+    let shape = shape_from(args)?;
+    let net = net_from(args, shape.lookback)?;
+    let mode = match args.get("--mode").unwrap_or("rp-wce") {
+        "baseline" => OptMode::Baseline,
+        "rp" => OptMode::RangePruning,
+        "rp-wce" => OptMode::RangePruningWce,
+        other => return Err(format!("unknown --mode `{other}`")),
+    };
+    Ok(Common {
+        shape,
+        net,
+        th: thresholds_from(args)?,
+        budget_secs: args.num("--budget-secs")?.unwrap_or(300),
+        mode,
+        sweep_wall: args.num("--sweep-budget-secs")?.map(Duration::from_secs),
+        fuzz_seed: args.num("--fuzz-seed")?.unwrap_or(0),
+        generations: args.num("--generations")?.unwrap_or(30),
+        population: args.num("--population")?.unwrap_or(24),
+        initial_cwnd: args.rat("--initial-cwnd")?.unwrap_or_else(Rat::one),
+        cca: args.spec("--cca")?,
+        cca_b: args.spec("--cca-b")?,
+    })
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         return usage();
     };
-    let args = Args(argv);
-    let shape = shape_from(&args);
-    let net = net_from(&args, shape.lookback);
-    let th = thresholds_from(&args);
-    let budget_secs: u64 = args.get("--budget-secs").and_then(|v| v.parse().ok()).unwrap_or(300);
-    let mode = match args.get("--mode").unwrap_or("rp-wce") {
-        "baseline" => OptMode::Baseline,
-        "rp" => OptMode::RangePruning,
-        _ => OptMode::RangePruningWce,
+    let parsed = Args::parse(rest).and_then(|args| common_from(&args).map(|c| (args, c)));
+    let (args, common) = match parsed {
+        Ok(ok) => ok,
+        Err(msg) => return bad_usage(&msg),
     };
-    let threads = args
-        .get("--threads")
-        .and_then(|v| v.parse::<usize>().ok().filter(|&n| n > 0))
-        .unwrap_or_else(|| ccmatic::env::env_threads_or_cores("CCMATIC_SYNTH_THREADS"));
-    let seed = args
-        .get("--seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .or_else(|| ccmatic::env::env_seed("CCMATIC_SEED"))
-        .unwrap_or(0);
+    let Common {
+        shape,
+        net,
+        th,
+        budget_secs,
+        mode,
+        sweep_wall,
+        fuzz_seed,
+        generations,
+        population,
+        initial_cwnd,
+        cca,
+        cca_b,
+    } = common;
     let certify = args.has("--certify");
     let opts = SynthOptions {
         shape: shape.clone(),
@@ -210,12 +333,9 @@ fn main() -> ExitCode {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads,
-        seed,
-        dispatch_min: args
-            .get("--dispatch-min")
-            .and_then(|v| v.parse::<u128>().ok())
-            .unwrap_or(ccmatic::synth::DEFAULT_DISPATCH_MIN),
+        threads: 1,
+        seed: 0,
+        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify,
         region_pruning: !args.has("--no-region-pruning"),
         theory_sync: !args.has("--no-theory-sync"),
@@ -225,13 +345,11 @@ fn main() -> ExitCode {
     let code = match cmd.as_str() {
         "synth" => {
             eprintln!(
-                "synthesizing over {} candidates ({} mode, util ≥ {}, delay ≤ {}, {} thread{})…",
+                "synthesizing over {} candidates ({} mode, util ≥ {}, delay ≤ {})…",
                 shape.search_space_size(),
                 mode.label(),
                 th.util,
                 th.delay,
-                threads,
-                if threads == 1 { "" } else { "s" }
             );
             let r = synthesize(&opts);
             if kernel.is_some() {
@@ -256,14 +374,10 @@ fn main() -> ExitCode {
                 Outcome::Solution(spec) => {
                     println!("SOLUTION  {spec}");
                     println!(
-                        "iterations {} · verifier probes {} · replay hits {} · wasted steps {} · shards stolen {} · clauses shared {}/{} · {:.1}s",
+                        "iterations {} · verifier probes {} · replay hits {} · {:.1}s",
                         r.stats.iterations,
                         r.verifier_probes,
                         r.stats.replay_hits,
-                        r.stats.speculative_wasted,
-                        r.stats.shards_stolen,
-                        r.stats.shared_clauses_exported,
-                        r.stats.shared_clauses_imported,
                         r.stats.wall.as_secs_f64()
                     );
                     ExitCode::SUCCESS
@@ -279,7 +393,7 @@ fn main() -> ExitCode {
             }
         }
         "verify" => {
-            let Some(spec) = args.get("--cca").and_then(parse_spec) else {
+            let Some(spec) = cca else {
                 return usage();
             };
             let mut net = net;
@@ -376,10 +490,7 @@ fn main() -> ExitCode {
                 threads: ccmatic::sweep::sweep_threads(),
                 warm_start: !args.has("--no-warm-start"),
                 cache,
-                sweep_wall: args
-                    .get("--sweep-budget-secs")
-                    .and_then(|v| v.parse().ok())
-                    .map(Duration::from_secs),
+                sweep_wall,
             };
             let report = match args.get("--axis").unwrap_or("delay") {
                 "util" => sweep_with_config(&opts, &values, |t, u| t.util = u.clone(), &cfg),
@@ -421,7 +532,7 @@ fn main() -> ExitCode {
             // Target: a linear-template spec (full pipeline: exact
             // confirmation + verifier cross-check + CEGIS seeding) or a
             // simulator-only CCA (screen tier alone).
-            let target = if let Some(spec) = args.get("--cca").and_then(parse_spec) {
+            let target = if let Some(spec) = cca {
                 FuzzTarget::Spec(spec)
             } else {
                 match args.get("--target") {
@@ -449,12 +560,12 @@ fn main() -> ExitCode {
                 }
             }
             let cfg = FuzzConfig {
-                seed: args.get("--fuzz-seed").and_then(|v| v.parse().ok()).unwrap_or(0),
-                generations: args.get("--generations").and_then(|v| v.parse().ok()).unwrap_or(30),
-                population: args.get("--population").and_then(|v| v.parse().ok()).unwrap_or(24),
+                seed: fuzz_seed,
+                generations,
+                population,
                 net: net.clone(),
                 thresholds: th.clone(),
-                initial_cwnd: args.rat("--initial-cwnd").unwrap_or_else(Rat::one),
+                initial_cwnd,
                 target: target.clone(),
                 skip_verify: false,
             };
@@ -526,7 +637,7 @@ fn main() -> ExitCode {
             }
         }
         "assume" => {
-            let Some(spec) = args.get("--cca").and_then(parse_spec) else {
+            let Some(spec) = cca else {
                 return usage();
             };
             let mut net = net;
@@ -535,9 +646,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "diff" => {
-            let (Some(a), Some(b)) =
-                (args.get("--cca").and_then(parse_spec), args.get("--cca-b").and_then(parse_spec))
-            else {
+            let (Some(a), Some(b)) = (cca, cca_b) else {
                 return usage();
             };
             let mut net = net;
